@@ -6,8 +6,8 @@
 //! [`Throughput`] was declared on the group).
 //!
 //! When the `PRONGHORN_BENCH_JSON` environment variable names a file,
-//! every result is appended to it as one JSON object per line — the
-//! hook `scripts/bench_codec.sh` uses to assemble `BENCH_grid.json`.
+//! every result is appended to it as one JSON object per line, so a
+//! script can collect a bench run as machine-readable output.
 
 #![forbid(unsafe_code)]
 

@@ -21,16 +21,14 @@
 //!   identical (byte-for-byte) single-node run.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::delta_ablation::benchmarks;
-use crate::render::write_results_csv;
+use crate::grid::PAPER_BENCHMARKS;
+use crate::render::{csv_f64, write_results_file};
+use crate::sweep::Sweep;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_cluster, ClusterRunResult, ClusterSpec, RoutingPolicy, RunConfig};
 use pronghorn_sim::SimDuration;
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Cluster sizes the ablation sweeps.
 pub const NODE_COUNTS: [u32; 3] = [1, 4, 8];
@@ -47,28 +45,9 @@ pub const CONTENTION_GAP_MS: u64 = 1;
 /// traffic, which is what the locality accounting measures.
 const ABLATION_RATE: u32 = 1;
 
-/// One benchmark × nodes × routing measurement.
-#[derive(Debug, Clone)]
-pub struct ClusterCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Cluster size the cell ran on.
-    pub nodes: u32,
-    /// Gateway routing policy.
-    pub routing: RoutingPolicy,
-    /// Full cluster-run measurements.
-    pub result: ClusterRunResult,
-}
-
-/// A completed cluster ablation.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterAblation {
-    /// All cells, in completion order (lookups are keyed, so order does
-    /// not affect any rendered output).
-    pub cells: Vec<ClusterCell>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
+/// A completed cluster ablation: the sweep's points are node counts, its
+/// arms gateway routing policies.
+pub type ClusterAblation = Sweep<RoutingPolicy, ClusterRunResult>;
 
 /// The [`RunConfig`] one ablation cell runs under.
 fn cell_config(seed: u64, invocations: u32, nodes: u32, routing: RoutingPolicy) -> RunConfig {
@@ -86,61 +65,30 @@ fn cell_config(seed: u64, invocations: u32, nodes: u32, routing: RoutingPolicy) 
 /// Runs the full ablation: 13 benchmarks × [`NODE_COUNTS`] × both
 /// routing policies.
 pub fn run(ctx: &ExperimentContext) -> ClusterAblation {
-    run_for(ctx, &benchmarks(), &NODE_COUNTS)
+    run_for(ctx, &PAPER_BENCHMARKS, &NODE_COUNTS)
 }
 
 /// Runs the ablation over an explicit benchmark and node-count set.
-///
-/// # Panics
-///
-/// Panics if a benchmark name is unknown — experiment tables are static
-/// and must fail loudly.
+/// Panics on an unknown benchmark name (see [`Sweep::run`]).
 pub fn run_for(
     ctx: &ExperimentContext,
     benchmarks: &[&str],
     node_counts: &[u32],
 ) -> ClusterAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, u32, RoutingPolicy)> = Vec::new();
-    for &bench in benchmarks {
-        for &nodes in node_counts {
-            for routing in RoutingPolicy::ALL {
-                tasks.push((bench.to_string(), nodes, routing));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, nodes, routing)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across the routing arms of one
-                // (bench, nodes): the paired-comparison trick.
-                let seed = ctx.cell_seed(&["cluster", bench, &nodes.to_string()]);
-                let cfg = cell_config(seed, ctx.invocations, *nodes, *routing);
-                let result = run_cluster(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(ClusterCell {
-                    workload: bench.clone(),
-                    nodes: *nodes,
-                    routing: *routing,
-                    result,
-                });
-            });
-        }
-    });
-    ClusterAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Sweep::run(
+        ctx,
+        benchmarks,
+        node_counts,
+        &RoutingPolicy::ALL,
+        |workload, bench, nodes, routing| {
+            // Seed shared across the routing arms of one (bench, nodes).
+            let seed = ctx.cell_seed(&["cluster", bench, &nodes.to_string()]);
+            run_cluster(
+                workload,
+                &cell_config(seed, ctx.invocations, nodes, routing),
+            )
+        },
+    )
 }
 
 /// Pooled per-arm (nodes × routing) aggregates.
@@ -184,48 +132,15 @@ impl ClusterArmAggregate {
 }
 
 impl ClusterAblation {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, nodes: u32, routing: RoutingPolicy) -> Option<&ClusterCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.nodes == nodes && c.routing == routing)
-    }
-
-    /// Distinct workloads present, in paper order (non-paper test
-    /// benchmarks follow, in cell order).
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
-    }
-
-    /// Distinct node counts present, ascending.
-    pub fn node_counts(&self) -> Vec<u32> {
-        let mut counts: Vec<u32> = self.cells.iter().map(|c| c.nodes).collect();
-        counts.sort_unstable();
-        counts.dedup();
-        counts
-    }
-
     /// Benchmarks where load-aware routing's p99 latency (queueing
     /// included) beats pure hashing's at `nodes`, as `(wins, total)`.
     pub fn load_aware_p99_wins(&self, nodes: u32) -> (usize, usize) {
         let mut wins = 0;
         let mut total = 0;
-        for w in self.workloads() {
+        for w in &self.benchmarks {
             let (Some(hash), Some(aware)) = (
-                self.cell(&w, nodes, RoutingPolicy::Hash),
-                self.cell(&w, nodes, RoutingPolicy::LoadAware),
+                self.cell(w, nodes, RoutingPolicy::Hash),
+                self.cell(w, nodes, RoutingPolicy::LoadAware),
             ) else {
                 continue;
             };
@@ -241,12 +156,11 @@ impl ClusterAblation {
     /// order.
     pub fn arm_aggregates(&self) -> Vec<ClusterArmAggregate> {
         let mut out = Vec::new();
-        for nodes in self.node_counts() {
+        for &nodes in &self.points {
             for routing in RoutingPolicy::ALL {
-                let cells: Vec<&ClusterCell> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.nodes == nodes && c.routing == routing)
+                let cells: Vec<_> = self
+                    .arm_cells(routing)
+                    .filter(|c| c.point == nodes)
                     .collect();
                 if cells.is_empty() {
                     continue;
@@ -314,7 +228,7 @@ impl ClusterAblation {
              capacity {NODE_CAPACITY}/node)\n\n{}\n",
             table.render(TableStyle::Plain)
         );
-        for nodes in self.node_counts() {
+        for &nodes in &self.points {
             if nodes == 1 {
                 continue;
             }
@@ -345,42 +259,35 @@ impl ClusterAblation {
             "median_latency_us",
             "p99_latency_us",
         ]);
-        for w in self.workloads() {
-            for nodes in self.node_counts() {
-                for routing in RoutingPolicy::ALL {
-                    let Some(cell) = self.cell(&w, nodes, routing) else {
-                        continue;
-                    };
-                    let r = &cell.result;
-                    table.row(vec![
-                        w.clone(),
-                        nodes.to_string(),
-                        routing.label().to_string(),
-                        r.served().to_string(),
-                        r.spillovers().to_string(),
-                        r.nodes
-                            .iter()
-                            .map(|n| n.cold_starts)
-                            .sum::<u64>()
-                            .to_string(),
-                        r.nodes.iter().map(|n| n.restores).sum::<u64>().to_string(),
-                        r.locality.local_hits.to_string(),
-                        r.locality.remote_misses.to_string(),
-                        csv_f64(r.locality_hit_rate()),
-                        r.locality.remote_bytes.to_string(),
-                        csv_f64(r.total_queue_delay_us()),
-                        csv_f64(r.result.median_us()),
-                        csv_f64(r.result.percentile_us(99.0)),
-                    ]);
-                }
-            }
+        for cell in &self.cells {
+            let r = &cell.result;
+            table.row(vec![
+                cell.workload.clone(),
+                cell.point.to_string(),
+                cell.arm.label().to_string(),
+                r.served().to_string(),
+                r.spillovers().to_string(),
+                r.nodes
+                    .iter()
+                    .map(|n| n.cold_starts)
+                    .sum::<u64>()
+                    .to_string(),
+                r.nodes.iter().map(|n| n.restores).sum::<u64>().to_string(),
+                r.locality.local_hits.to_string(),
+                r.locality.remote_misses.to_string(),
+                csv_f64(r.locality_hit_rate()),
+                r.locality.remote_bytes.to_string(),
+                csv_f64(r.total_queue_delay_us()),
+                csv_f64(r.result.median_us()),
+                csv_f64(r.result.percentile_us(99.0)),
+            ]);
         }
         table.to_csv()
     }
 
     /// Writes `results/cluster_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("cluster_ablation.csv", &self.to_csv())
+        write_results_file("cluster_ablation.csv", &self.to_csv())
     }
 
     /// Writes `results/BENCH_cluster.json`: per-arm locality hit rates,
@@ -420,9 +327,10 @@ impl ClusterAblation {
                     .raw("per_node", format!("[{}]", per_node.join(", "))),
             );
         }
-        let multi: Vec<u32> = self.node_counts().into_iter().filter(|&n| n > 1).collect();
-        let wins: Vec<String> = multi
+        let wins: Vec<String> = self
+            .points
             .iter()
+            .filter(|&&n| n > 1)
             .map(|&nodes| {
                 let (wins, total) = self.load_aware_p99_wins(nodes);
                 JsonObj::new()
@@ -440,15 +348,6 @@ impl ClusterAblation {
     }
 }
 
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,15 +357,12 @@ mod tests {
             invocations: 120,
             ..ExperimentContext::quick()
         };
-        run_for(&ctx, &["Hash", "DFS", "MatrixMult"], &[1, 4])
+        run_for(&ctx, &["DFS", "MatrixMult", "Hash"], &[1, 4])
     }
 
     #[test]
     fn ablation_runs_every_arm_per_cell() {
         let ablation = quick_ablation();
-        assert_eq!(ablation.cells.len(), 3 * 2 * 2);
-        assert_eq!(ablation.workloads(), vec!["DFS", "MatrixMult", "Hash"]);
-        assert_eq!(ablation.node_counts(), vec![1, 4]);
         for cell in &ablation.cells {
             assert_eq!(cell.result.served(), 120);
         }
@@ -477,9 +373,9 @@ mod tests {
         // With one node there is nowhere to spill: both routing arms
         // replay the identical run.
         let ablation = quick_ablation();
-        for w in ablation.workloads() {
-            let hash = ablation.cell(&w, 1, RoutingPolicy::Hash).unwrap();
-            let aware = ablation.cell(&w, 1, RoutingPolicy::LoadAware).unwrap();
+        for w in &ablation.benchmarks {
+            let hash = ablation.cell(w, 1, RoutingPolicy::Hash).unwrap();
+            let aware = ablation.cell(w, 1, RoutingPolicy::LoadAware).unwrap();
             assert_eq!(
                 hash.result.result.latencies_us, aware.result.result.latencies_us,
                 "{w}"
@@ -492,8 +388,8 @@ mod tests {
     #[test]
     fn hash_routing_keeps_perfect_locality_but_queues() {
         let ablation = quick_ablation();
-        for w in ablation.workloads() {
-            let hash = &ablation.cell(&w, 4, RoutingPolicy::Hash).unwrap().result;
+        for w in &ablation.benchmarks {
+            let hash = &ablation.cell(w, 4, RoutingPolicy::Hash).unwrap().result;
             assert_eq!(hash.locality.remote_bytes, 0, "{w}");
             assert_eq!(hash.spillovers(), 0, "{w}");
             assert!(hash.total_queue_delay_us() > 0.0, "{w}");
@@ -508,29 +404,17 @@ mod tests {
         assert!(wins >= 1, "load-aware won the p99 on {wins}/{total}");
         // The win is bought with cross-node snapshot transfers somewhere.
         let remote: u64 = ablation
-            .cells
-            .iter()
-            .filter(|c| c.routing == RoutingPolicy::LoadAware && c.nodes == 4)
+            .arm_cells(RoutingPolicy::LoadAware)
+            .filter(|c| c.point == 4)
             .map(|c| c.result.locality.remote_bytes)
             .sum();
         assert!(remote > 0, "no remote transfer despite spillover");
         let spill: u64 = ablation
-            .cells
-            .iter()
-            .filter(|c| c.routing == RoutingPolicy::LoadAware && c.nodes == 4)
+            .arm_cells(RoutingPolicy::LoadAware)
+            .filter(|c| c.point == 4)
             .map(|c| c.result.spillovers())
             .sum();
         assert!(spill > 0);
-    }
-
-    #[test]
-    fn csv_is_deterministic_and_shaped() {
-        let ablation = quick_ablation();
-        let csv = ablation.to_csv();
-        assert_eq!(csv.lines().count(), 1 + 3 * 2 * 2);
-        assert!(csv.starts_with("workload,nodes,routing,"));
-        let again = quick_ablation();
-        assert_eq!(csv, again.to_csv());
     }
 
     #[test]

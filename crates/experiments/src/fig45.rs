@@ -5,26 +5,16 @@
 //! Java benchmarks over the same grid. 500 invocations per cell, with the
 //! §5.1 input variance.
 
-use crate::grid::{run_grid, Grid, PAPER_POLICIES, PAPER_RATES};
-use crate::render::{ascii_cdf, write_results_csv};
+use crate::grid::{run_grid, Grid, PAPER_BENCHMARKS, PAPER_POLICIES, PAPER_RATES};
+use crate::render::{ascii_cdf, write_results_file};
 use crate::ExperimentContext;
 use pronghorn_metrics::Table;
 
-/// Figure 4's benchmark rows, paper order.
-pub const FIG4_BENCHMARKS: [&str; 9] = [
-    "BFS",
-    "DFS",
-    "DynamicHTML",
-    "MST",
-    "PageRank",
-    "Compression",
-    "Uploader",
-    "Thumbnailer",
-    "Video",
-];
+/// Figure 4's benchmark rows (the nine Python benchmarks), paper order.
+pub const FIG4_BENCHMARKS: &[&str] = PAPER_BENCHMARKS.split_at(9).0;
 
-/// Figure 5's benchmark rows, paper order.
-pub const FIG5_BENCHMARKS: [&str; 4] = ["MatrixMult", "Hash", "HTMLRendering", "WordCount"];
+/// Figure 5's benchmark rows (the four Java benchmarks), paper order.
+pub const FIG5_BENCHMARKS: &[&str] = PAPER_BENCHMARKS.split_at(9).1;
 
 /// A completed figure: the grid plus which figure it is.
 #[derive(Debug, Clone)]
@@ -39,7 +29,7 @@ pub struct FigureResult {
 pub fn run_fig4(ctx: &ExperimentContext) -> FigureResult {
     FigureResult {
         figure: 4,
-        grid: run_grid(ctx, &FIG4_BENCHMARKS, &PAPER_POLICIES, &PAPER_RATES),
+        grid: run_grid(ctx, FIG4_BENCHMARKS, &PAPER_POLICIES, &PAPER_RATES),
     }
 }
 
@@ -47,7 +37,7 @@ pub fn run_fig4(ctx: &ExperimentContext) -> FigureResult {
 pub fn run_fig5(ctx: &ExperimentContext) -> FigureResult {
     FigureResult {
         figure: 5,
-        grid: run_grid(ctx, &FIG5_BENCHMARKS, &PAPER_POLICIES, &PAPER_RATES),
+        grid: run_grid(ctx, FIG5_BENCHMARKS, &PAPER_POLICIES, &PAPER_RATES),
     }
 }
 
@@ -63,14 +53,14 @@ impl FigureResult {
                 .map(|c| c.result.latencies_us.len())
                 .unwrap_or(0)
         );
-        for workload in self.grid.workloads() {
+        for workload in &self.grid.benchmarks {
             for &rate in &PAPER_RATES {
                 out.push_str(&format!(
                     "--- {workload} | eviction every {rate} request(s) ---\n"
                 ));
                 let mut curves = Vec::new();
                 for &policy in &PAPER_POLICIES {
-                    if let Some(cell) = self.grid.cell(&workload, policy, rate) {
+                    if let Some(cell) = self.grid.cell(workload, rate, policy) {
                         if let Some(cdf) = cell.result.cdf() {
                             curves.push((policy.label(), cdf));
                         }
@@ -83,10 +73,10 @@ impl FigureResult {
                     out.push_str(&format!(
                         "     median[{}] = {:.0}µs\n",
                         policy.label(),
-                        self.grid.median(&workload, policy, rate)
+                        self.grid.median(workload, policy, rate)
                     ));
                 }
-                if let Some(imp) = self.grid.improvement_pct(&workload, rate) {
+                if let Some(imp) = self.grid.improvement_pct(workload, rate) {
                     out.push_str(&format!(
                         "     request-centric vs after-1st: {imp:+.1}% median\n"
                     ));
@@ -111,8 +101,8 @@ impl FigureResult {
         for cell in &self.grid.cells {
             table.row(vec![
                 cell.workload.clone(),
-                cell.rate.to_string(),
-                cell.policy.label().to_string(),
+                cell.point.to_string(),
+                cell.arm.label().to_string(),
                 format!("{:.1}", cell.result.median_us()),
                 format!("{:.1}", cell.result.percentile_us(25.0)),
                 format!("{:.1}", cell.result.percentile_us(75.0)),
@@ -124,7 +114,7 @@ impl FigureResult {
 
     /// Writes `results/fig4.csv` / `results/fig5.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv(&format!("fig{}.csv", self.figure), &self.to_csv())
+        write_results_file(&format!("fig{}.csv", self.figure), &self.to_csv())
     }
 
     /// Full latency dump CSV (for re-plotting exact CDFs).
@@ -134,8 +124,8 @@ impl FigureResult {
             for (i, lat) in cell.result.latencies_us.iter().enumerate() {
                 table.row(vec![
                     cell.workload.clone(),
-                    cell.rate.to_string(),
-                    cell.policy.label().to_string(),
+                    cell.point.to_string(),
+                    cell.arm.label().to_string(),
                     i.to_string(),
                     format!("{lat:.1}"),
                 ]);
@@ -174,10 +164,33 @@ mod tests {
     }
 
     #[test]
+    fn figure_csvs_do_not_depend_on_thread_count() {
+        let figure = |threads| FigureResult {
+            figure: 4,
+            grid: run_grid(
+                &ExperimentContext {
+                    threads,
+                    ..tiny_ctx()
+                },
+                &["DFS", "Uploader", "Hash"],
+                &PAPER_POLICIES,
+                &PAPER_RATES,
+            ),
+        };
+        let (one, four) = (figure(1), figure(4));
+        assert_eq!(one.to_csv(), four.to_csv());
+        assert_eq!(one.to_latency_csv(), four.to_latency_csv());
+    }
+
+    #[test]
     fn fig4_benchmark_list_matches_paper_rows() {
         assert_eq!(FIG4_BENCHMARKS.len(), 9);
         assert_eq!(FIG5_BENCHMARKS.len(), 4);
-        for b in FIG4_BENCHMARKS.iter().chain(FIG5_BENCHMARKS.iter()) {
+        assert_eq!(
+            [FIG4_BENCHMARKS, FIG5_BENCHMARKS].concat(),
+            PAPER_BENCHMARKS
+        );
+        for b in PAPER_BENCHMARKS {
             assert!(pronghorn_workloads::by_name(b).is_some(), "{b} missing");
         }
     }

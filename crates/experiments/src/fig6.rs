@@ -7,42 +7,35 @@
 //! one pathological case: MST at the 50th percentile, whose trace carried
 //! only 3 requests.
 
-use crate::render::write_results_csv;
+use crate::grid::PAPER_POLICIES;
+use crate::render::write_results_file;
+use crate::sweep::Sweep;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::Table;
 use pronghorn_platform::{run_trace_with_history, RunConfig, RunResult};
 use pronghorn_sim::RngFactory;
 use pronghorn_traces::TraceSpec;
-use pronghorn_workloads::{by_name, InputVariance};
+use pronghorn_workloads::InputVariance;
 
 /// Figure 6's benchmark rows.
 pub const FIG6_BENCHMARKS: [&str; 3] = ["MST", "Thumbnailer", "HTMLRendering"];
 
-/// Figure 6's popularity percentiles (columns).
-pub const FIG6_PERCENTILES: [f64; 3] = [0.50, 0.65, 0.75];
+/// Figure 6's popularity percentiles (columns), in percent.
+pub const FIG6_PERCENTILES: [u32; 3] = [50, 65, 75];
 
-/// One trace-driven cell.
+/// One trace-driven run.
 #[derive(Debug, Clone)]
-pub struct TraceCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Popularity percentile.
-    pub percentile: f64,
-    /// Policy under test.
-    pub policy: PolicyKind,
+pub struct TraceRun {
     /// Requests the trace carried.
     pub trace_len: usize,
     /// The run.
     pub result: RunResult,
 }
 
-/// Figure 6's full result.
-#[derive(Debug, Clone)]
-pub struct Fig6Result {
-    /// All cells.
-    pub cells: Vec<TraceCell>,
-}
+/// Figure 6's full result: the sweep's points are popularity
+/// percentiles, its arms policies.
+pub type Fig6Result = Sweep<PolicyKind, TraceRun>;
 
 /// Prior production invocations replayed before the measured window: the
 /// function is already deployed when the trace starts, but the policy is
@@ -54,46 +47,32 @@ pub const DEPLOYMENT_HISTORY: u32 = 60;
 /// trace shared across the three policies (paired comparison), replayed
 /// against an already-deployed function.
 pub fn run(ctx: &ExperimentContext) -> Fig6Result {
-    let mut cells = Vec::new();
-    for &bench in &FIG6_BENCHMARKS {
-        for &percentile in &FIG6_PERCENTILES {
+    Sweep::run(
+        ctx,
+        &FIG6_BENCHMARKS,
+        &FIG6_PERCENTILES,
+        &PAPER_POLICIES,
+        |workload, bench, percent, policy| {
+            let percentile = f64::from(percent) / 100.0;
             let trace_seed = ctx.cell_seed(&["fig6", bench, &format!("{percentile}")]);
-            let factory = RngFactory::new(trace_seed);
-            let trace = TraceSpec::percentile(percentile).generate(&mut factory.stream("trace"));
-            let workload = by_name(bench).expect("figure benchmark exists");
-            for policy in [
-                PolicyKind::Cold,
-                PolicyKind::AfterFirst,
-                PolicyKind::RequestCentric,
-            ] {
-                let cfg =
-                    RunConfig::paper(policy, 4, trace_seed).with_variance(InputVariance::low());
-                let result = run_trace_with_history(&workload, &cfg, &trace, DEPLOYMENT_HISTORY);
-                cells.push(TraceCell {
-                    workload: bench.to_string(),
-                    percentile,
-                    policy,
-                    trace_len: trace.len(),
-                    result,
-                });
+            let trace = TraceSpec::percentile(percentile)
+                .generate(&mut RngFactory::new(trace_seed).stream("trace"));
+            let cfg = RunConfig::paper(policy, 4, trace_seed).with_variance(InputVariance::low());
+            TraceRun {
+                trace_len: trace.len(),
+                result: run_trace_with_history(workload, &cfg, &trace, DEPLOYMENT_HISTORY),
             }
-        }
-    }
-    Fig6Result { cells }
+        },
+    )
 }
 
 impl Fig6Result {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, percentile: f64, policy: PolicyKind) -> Option<&TraceCell> {
-        self.cells.iter().find(|c| {
-            c.workload == workload && (c.percentile - percentile).abs() < 1e-9 && c.policy == policy
-        })
-    }
-
     /// Median improvement of request-centric over after-1st for a panel.
-    pub fn improvement_pct(&self, workload: &str, percentile: f64) -> Option<f64> {
-        let base = self.cell(workload, percentile, PolicyKind::AfterFirst)?;
-        let rc = self.cell(workload, percentile, PolicyKind::RequestCentric)?;
+    pub fn improvement_pct(&self, workload: &str, percent: u32) -> Option<f64> {
+        let base = &self.cell(workload, percent, PolicyKind::AfterFirst)?.result;
+        let rc = &self
+            .cell(workload, percent, PolicyKind::RequestCentric)?
+            .result;
         pronghorn_metrics::median_improvement_pct(base.result.median_us(), rc.result.median_us())
     }
 
@@ -130,12 +109,12 @@ impl Fig6Result {
             for &p in &FIG6_PERCENTILES {
                 let m = |policy| {
                     self.cell(bench, p, policy)
-                        .map(|c| format!("{:.0}", c.result.median_us()))
+                        .map(|c| format!("{:.0}", c.result.result.median_us()))
                         .unwrap_or_else(|| "-".into())
                 };
                 let len = self
                     .cell(bench, p, PolicyKind::Cold)
-                    .map(|c| c.trace_len.to_string())
+                    .map(|c| c.result.trace_len.to_string())
                     .unwrap_or_default();
                 let imp = self
                     .improvement_pct(bench, p)
@@ -143,7 +122,7 @@ impl Fig6Result {
                     .unwrap_or_else(|| "-".into());
                 table.row(vec![
                     bench.to_string(),
-                    format!("{:.0}th", p * 100.0),
+                    format!("{p}th"),
                     len,
                     m(PolicyKind::Cold),
                     m(PolicyKind::AfterFirst),
@@ -172,11 +151,11 @@ impl Fig6Result {
         for c in &self.cells {
             table.row(vec![
                 c.workload.clone(),
-                format!("{:.2}", c.percentile),
-                c.policy.label().to_string(),
-                c.trace_len.to_string(),
-                format!("{:.1}", c.result.median_us()),
-                format!("{:.1}", c.result.percentile_us(90.0)),
+                format!("{:.2}", f64::from(c.point) / 100.0),
+                c.arm.label().to_string(),
+                c.result.trace_len.to_string(),
+                format!("{:.1}", c.result.result.median_us()),
+                format!("{:.1}", c.result.result.percentile_us(90.0)),
             ]);
         }
         table.to_csv()
@@ -184,7 +163,7 @@ impl Fig6Result {
 
     /// Writes `results/fig6.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("fig6.csv", &self.to_csv())
+        write_results_file("fig6.csv", &self.to_csv())
     }
 }
 
@@ -199,15 +178,11 @@ mod tests {
         // Trace length is shared across policies of a panel.
         for &bench in &FIG6_BENCHMARKS {
             for &p in &FIG6_PERCENTILES {
-                let lens: Vec<usize> = [
-                    PolicyKind::Cold,
-                    PolicyKind::AfterFirst,
-                    PolicyKind::RequestCentric,
-                ]
-                .iter()
-                .filter_map(|&k| result.cell(bench, p, k))
-                .map(|c| c.trace_len)
-                .collect();
+                let lens: Vec<usize> = PAPER_POLICIES
+                    .iter()
+                    .filter_map(|&k| result.cell(bench, p, k))
+                    .map(|c| c.result.trace_len)
+                    .collect();
                 assert_eq!(lens.len(), 3);
                 assert!(lens.windows(2).all(|w| w[0] == w[1]));
             }
@@ -217,8 +192,8 @@ mod tests {
     #[test]
     fn median_percentile_traces_are_sparse() {
         let result = run(&ExperimentContext::quick());
-        let p50 = result.cell("MST", 0.50, PolicyKind::Cold).unwrap();
-        let p75 = result.cell("MST", 0.75, PolicyKind::Cold).unwrap();
+        let p50 = &result.cell("MST", 50, PolicyKind::Cold).unwrap().result;
+        let p75 = &result.cell("MST", 75, PolicyKind::Cold).unwrap().result;
         assert!(
             p50.trace_len < p75.trace_len,
             "p50 {} vs p75 {}",

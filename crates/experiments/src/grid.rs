@@ -1,19 +1,35 @@
-//! The evaluation grid runner: benchmarks × policies × eviction rates,
-//! executed in parallel across threads.
+//! The evaluation grid: benchmarks × eviction rates × policies, run on
+//! the shared [`Sweep`] harness.
 //!
 //! Cells that differ only in policy share a seed, so the workload-input
 //! stream is identical across policies (paired comparison — the same trick
 //! the paper gets by replaying the same benchmark inputs against each
 //! strategy).
 
+use crate::sweep::{Cell, Sweep};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_platform::{
     run_closed_loop, run_cluster, ClusterSpec, KernelKind, RunConfig, RunResult,
 };
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+/// The paper's 13 benchmarks: Figure 4's nine Python rows, then Figure
+/// 5's four Java rows, in figure order.
+pub const PAPER_BENCHMARKS: [&str; 13] = [
+    "BFS",
+    "DFS",
+    "DynamicHTML",
+    "MST",
+    "PageRank",
+    "Compression",
+    "Uploader",
+    "Thumbnailer",
+    "Video",
+    "MatrixMult",
+    "Hash",
+    "HTMLRendering",
+    "WordCount",
+];
 
 /// The three policies of §5.1, in the paper's order.
 pub const PAPER_POLICIES: [PolicyKind; 3] = [
@@ -25,39 +41,17 @@ pub const PAPER_POLICIES: [PolicyKind; 3] = [
 /// The three eviction rates of §5.1.
 pub const PAPER_RATES: [u32; 3] = [1, 4, 20];
 
-/// One grid cell's identity and measurements.
-#[derive(Debug, Clone)]
-pub struct GridCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Policy under test.
-    pub policy: PolicyKind,
-    /// Eviction rate.
-    pub rate: u32,
-    /// Full run measurements.
-    pub result: RunResult,
-}
+/// A completed grid: the sweep's points are eviction rates, its arms
+/// policies.
+pub type Grid = Sweep<PolicyKind, RunResult>;
 
-/// A completed grid of runs.
-#[derive(Debug, Clone, Default)]
-pub struct Grid {
-    /// All cells, in completion order.
-    pub cells: Vec<GridCell>,
-    /// Real wall-clock time the grid took to run, seconds.
-    pub wall_clock_s: f64,
-}
+/// One grid cell's identity and measurements.
+pub type GridCell = Cell<PolicyKind, RunResult>;
 
 impl Grid {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, policy: PolicyKind, rate: u32) -> Option<&GridCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.policy == policy && c.rate == rate)
-    }
-
     /// Median latency of a cell, µs (NaN when absent).
     pub fn median(&self, workload: &str, policy: PolicyKind, rate: u32) -> f64 {
-        self.cell(workload, policy, rate)
+        self.cell(workload, rate, policy)
             .map(|c| c.result.median_us())
             .unwrap_or(f64::NAN)
     }
@@ -68,17 +62,6 @@ impl Grid {
         let base = self.median(workload, PolicyKind::AfterFirst, rate);
         let rc = self.median(workload, PolicyKind::RequestCentric, rate);
         pronghorn_metrics::median_improvement_pct(base, rc)
-    }
-
-    /// Distinct workloads present, in first-seen order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
     }
 }
 
@@ -97,14 +80,17 @@ pub fn run_grid(
     run_grid_with_kernel(ctx, benchmarks, policies, rates, KernelKind::BinaryHeap)
 }
 
+/// The [`RunConfig`] of one grid cell. The seed is shared across the
+/// policies of one (benchmark, rate).
+fn grid_config(ctx: &ExperimentContext, bench: &str, rate: u32, policy: PolicyKind) -> RunConfig {
+    let seed = ctx.cell_seed(&[bench, &rate.to_string()]);
+    RunConfig::paper(policy, rate, seed).with_invocations(ctx.invocations)
+}
+
 /// [`run_grid`] with an explicit simulation kernel. Results are
 /// byte-identical under either kernel (pinned by `tests/full_invariance.rs`
 /// and the `kernel-bench` command); the knob exists so the equivalence is
 /// checked at grid scale, not assumed.
-///
-/// # Panics
-///
-/// Panics if a benchmark name is unknown.
 pub fn run_grid_with_kernel(
     ctx: &ExperimentContext,
     benchmarks: &[&str],
@@ -112,49 +98,16 @@ pub fn run_grid_with_kernel(
     rates: &[u32],
     kernel: KernelKind,
 ) -> Grid {
-    // Validate names up front.
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, PolicyKind, u32)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for &policy in policies {
-                tasks.push((bench.to_string(), policy, rate));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, policy, rate)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across policies of the same (bench, rate).
-                let seed = ctx.cell_seed(&[bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(*policy, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_kernel(kernel);
-                let result = run_closed_loop(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(GridCell {
-                    workload: bench.clone(),
-                    policy: *policy,
-                    rate: *rate,
-                    result,
-                });
-            });
-        }
-    });
-    Grid {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Sweep::run(
+        ctx,
+        benchmarks,
+        rates,
+        policies,
+        |workload, bench, rate, policy| {
+            let cfg = grid_config(ctx, bench, rate, policy).with_kernel(kernel);
+            run_closed_loop(workload, &cfg)
+        },
+    )
 }
 
 /// [`run_grid_with_kernel`], but every cell runs through the cluster
@@ -163,10 +116,6 @@ pub fn run_grid_with_kernel(
 /// `tests/full_invariance.rs` hold both paths to the same committed CSV),
 /// so this exists to check that equivalence at grid scale, not to be a
 /// faster path.
-///
-/// # Panics
-///
-/// Panics if a benchmark name is unknown.
 pub fn run_grid_cluster(
     ctx: &ExperimentContext,
     benchmarks: &[&str],
@@ -174,48 +123,18 @@ pub fn run_grid_cluster(
     rates: &[u32],
     kernel: KernelKind,
 ) -> Grid {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, PolicyKind, u32)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for &policy in policies {
-                tasks.push((bench.to_string(), policy, rate));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, policy, rate)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                let seed = ctx.cell_seed(&[bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(*policy, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_kernel(kernel)
-                    .with_cluster(ClusterSpec::single_node());
-                let result = run_cluster(&workload, &cfg).result;
-                cells.lock().expect("no poisoned lock").push(GridCell {
-                    workload: bench.clone(),
-                    policy: *policy,
-                    rate: *rate,
-                    result,
-                });
-            });
-        }
-    });
-    Grid {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Sweep::run(
+        ctx,
+        benchmarks,
+        rates,
+        policies,
+        |workload, bench, rate, policy| {
+            let cfg = grid_config(ctx, bench, rate, policy)
+                .with_kernel(kernel)
+                .with_cluster(ClusterSpec::single_node());
+            run_cluster(workload, &cfg).result
+        },
+    )
 }
 
 #[cfg(test)]
@@ -235,10 +154,10 @@ mod tests {
             &[1, 4],
         );
         assert_eq!(grid.cells.len(), 8);
-        assert_eq!(grid.workloads().len(), 2);
+        assert_eq!(grid.benchmarks, ["DFS", "Hash"]);
         let m = grid.median("DFS", PolicyKind::Cold, 1);
         assert!(m.is_finite() && m > 0.0);
-        assert!(grid.cell("DFS", PolicyKind::RequestCentric, 1).is_none());
+        assert!(grid.cell("DFS", 1, PolicyKind::RequestCentric).is_none());
     }
 
     #[test]
@@ -251,16 +170,9 @@ mod tests {
         // With eviction rate 20 and a cold policy vs after-1st, the
         // *input* stream is identical; latencies differ only through
         // runtime state. Sanity: same length, different values.
-        let cold = &grid.cell("DFS", PolicyKind::Cold, 20).unwrap().result;
-        let af = &grid.cell("DFS", PolicyKind::AfterFirst, 20).unwrap().result;
+        let cold = &grid.cell("DFS", 20, PolicyKind::Cold).unwrap().result;
+        let af = &grid.cell("DFS", 20, PolicyKind::AfterFirst).unwrap().result;
         assert_eq!(cold.latencies_us.len(), af.latencies_us.len());
         assert_ne!(cold.latencies_us, af.latencies_us);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown benchmark")]
-    fn unknown_benchmark_panics() {
-        let ctx = ExperimentContext::quick();
-        let _ = run_grid(&ctx, &["NoSuch"], &PAPER_POLICIES, &[1]);
     }
 }

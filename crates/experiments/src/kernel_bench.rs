@@ -350,19 +350,13 @@ pub fn run(ctx: &ExperimentContext) -> KernelBenchReport {
         &rates,
         KernelKind::TimerWheel,
     );
-    let mut grid_identical = true;
-    for bench in GRID_BENCHES {
-        for &rate in &rates {
-            for policy in PAPER_POLICIES {
-                let a = heap_grid.cell(bench, policy, rate).expect("cell ran");
-                let b = wheel_grid.cell(bench, policy, rate).expect("cell ran");
-                grid_identical &= a.result.latencies_us == b.result.latencies_us
-                    && a.result.provisions == b.result.provisions
-                    && a.result.checkpoint_ms == b.result.checkpoint_ms
-                    && a.result.snapshot_requests == b.result.snapshot_requests;
-            }
-        }
-    }
+    // Both grids list their cells in the same task order.
+    let grid_identical = heap_grid.cells.iter().zip(&wheel_grid.cells).all(|(a, b)| {
+        a.result.latencies_us == b.result.latencies_us
+            && a.result.provisions == b.result.provisions
+            && a.result.checkpoint_ms == b.result.checkpoint_ms
+            && a.result.snapshot_requests == b.result.snapshot_requests
+    });
 
     KernelBenchReport {
         arrivals: arrivals.len(),

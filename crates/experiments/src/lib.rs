@@ -4,6 +4,7 @@
 //! |---|---|
 //! | [`fig1`] | Figure 1: JIT warm-up curves (DynamicHTML on PyPy, HTMLRendering on the JVM), premature vs ideal snapshot points |
 //! | [`table1`] | Table 1: Java latency speedups vs request #1 at requests 200/400/600/800 |
+//! | [`sweep`] | the paired-seed sweep harness (benchmarks × points × arms, one thread pool, cells in task order) every grid and ablation below runs on |
 //! | [`grid`] + [`fig45`] | Figures 4–5: latency CDFs, 13 benchmarks × 3 policies × 3 eviction rates |
 //! | [`fig6`] | Figure 6: trace-driven CDFs at popularity percentiles 50/65/75 |
 //! | [`table4`] | Table 4: policy convergence requests, checkpoint/restore times, snapshot sizes |
@@ -11,16 +12,20 @@
 //! | [`fig7`] | Figure 7: per-operation orchestrator overheads vs the baseline |
 //! | [`summary`] | §5.2's headline numbers: per-rate improvement counts and geometric means |
 //! | [`ablation`] | the design-choice ablation study (selection strategy, γ, C, W, β misestimation, fleet amortization, input partitioning) |
-//! | [`restore_ablation`] | the restore-strategy ablation: eager vs lazy vs REAP-style record-&-prefetch |
-//! | [`delta_ablation`] | the delta-checkpointing ablation: full snapshots vs page-delta chains at consolidation depths 4 and 16 |
+//! | [`restore_ablation`] | the restore-strategy ablation: eager vs lazy vs REAP-style record-&-prefetch (`BENCH_restore.json`) |
+//! | [`delta_ablation`] | the delta-checkpointing ablation: full snapshots vs page-delta chains at consolidation depths 4 and 16 (`BENCH_delta.json`) |
 //! | [`cluster_ablation`] | the cluster ablation: {1, 4, 8} nodes × hash vs load-aware gateway routing (`BENCH_cluster.json`) |
 //! | [`kernel_bench`] | timer-wheel vs binary-heap simulation-kernel benchmark at production-trace scale (`BENCH_kernel.json`) |
+//! | [`bench_report`] | the shared `BENCH_*.json` schema and `BENCH_grid.json` (grid wall-clock and codec counters) |
 //! | [`provision_ablation`] | the predictive-provisioning ablation: reactive vs sliding-window/EWMA/MPC pre-restore on sparse bursty traces (`BENCH_provision.json`) |
 //! | [`storage_ablation`] | the tiered-storage ablation: flat store vs SSD cache vs compression vs composed-chain prefetch (`BENCH_storage.json`) |
 //!
 //! Each module exposes a `run(ctx)` returning a structured result with a
 //! `render()` that prints paper-style rows and a `to_csv()` for the
-//! `results/` directory. The `experiments` binary wires them to the
+//! `results/` directory. The grid and the five sweep ablations are
+//! [`sweep::Sweep`]s: each keeps only its arm list, the mapping from arm
+//! to `RunConfig`, its CSV columns, its headline checks and its
+//! `BENCH_*.json` arm fields. The `experiments` binary wires them to the
 //! command line.
 
 #![forbid(unsafe_code)]
@@ -41,6 +46,7 @@ pub mod render;
 pub mod restore_ablation;
 pub mod storage_ablation;
 pub mod summary;
+pub mod sweep;
 pub mod table1;
 pub mod table4;
 pub mod table5;
@@ -52,7 +58,7 @@ pub struct ExperimentContext {
     pub seed: u64,
     /// Invocations per closed-loop cell (paper: 500).
     pub invocations: u32,
-    /// Worker threads for the grid runner.
+    /// Worker threads for the sweep harness.
     pub threads: usize,
 }
 
@@ -76,7 +82,7 @@ impl ExperimentContext {
         }
     }
 
-    /// The worker-thread count the grid runners actually use: the
+    /// The worker-thread count the sweep harness actually uses: the
     /// requested count, capped at the machine's available parallelism.
     /// (An earlier version capped at a hardcoded 32, which both
     /// over-subscribed small CI runners and silently ignored bigger
@@ -85,7 +91,8 @@ impl ExperimentContext {
     /// instead of a grid that silently runs nothing.
     ///
     /// Thread count never affects results: every cell derives its own
-    /// seed and the collectors reorder by cell index.
+    /// seed, and the [`sweep`] harness returns cells in task order, not
+    /// completion order, so every CSV is byte-identical at any count.
     ///
     /// # Panics
     ///

@@ -186,6 +186,9 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
             );
         }
         "all" => {
+            // The summary reruns fresh grids. The restore ablation follows
+            // it so its three-strategy BENCH_restore.json is the one that
+            // survives (summary writes an eager-only version).
             for cmd in [
                 "fig1",
                 "table1",
@@ -196,27 +199,17 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
                 "table5",
                 "fig7",
                 "ablations",
+                "summary",
+                "restore-ablation",
+                "delta-ablation",
+                "cluster-ablation",
+                "kernel-bench",
+                "provision-ablation",
+                "storage-ablation",
             ] {
                 println!("==================== {cmd} ====================");
                 run_command(cmd, ctx, quick)?;
             }
-            // Reuse fresh grids for the summary.
-            println!("==================== summary ====================");
-            run_command("summary", ctx, quick)?;
-            // Last, so its three-strategy BENCH_restore.json is the one
-            // that survives (summary writes an eager-only version).
-            println!("==================== restore-ablation ====================");
-            run_command("restore-ablation", ctx, quick)?;
-            println!("==================== delta-ablation ====================");
-            run_command("delta-ablation", ctx, quick)?;
-            println!("==================== cluster-ablation ====================");
-            run_command("cluster-ablation", ctx, quick)?;
-            println!("==================== kernel-bench ====================");
-            run_command("kernel-bench", ctx, quick)?;
-            println!("==================== provision-ablation ====================");
-            run_command("provision-ablation", ctx, quick)?;
-            println!("==================== storage-ablation ====================");
-            run_command("storage-ablation", ctx, quick)?;
         }
         other => return Err(format!("unknown command: {other}\n{}", usage())),
     }

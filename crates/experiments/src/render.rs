@@ -98,6 +98,16 @@ pub fn ascii_series(values: &[f64], width: usize, height: usize) -> String {
     out
 }
 
+/// Formats a float for CSV at three decimals; NaN renders as the empty
+/// field.
+pub fn csv_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.3}")
+    } else {
+        String::new()
+    }
+}
+
 /// Writes a file under the `results/` directory (created on demand),
 /// returning the path written.
 pub fn write_results_file(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
@@ -106,12 +116,6 @@ pub fn write_results_file(name: &str, contents: &str) -> std::io::Result<std::pa
     let path = dir.join(name);
     std::fs::write(&path, contents)?;
     Ok(path)
-}
-
-/// Writes a CSV file under the `results/` directory (created on demand),
-/// returning the path written.
-pub fn write_results_csv(name: &str, csv: &str) -> std::io::Result<std::path::PathBuf> {
-    write_results_file(name, csv)
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 //! benchmarks.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::delta_ablation::benchmarks;
-use crate::grid::PAPER_RATES;
-use crate::render::write_results_csv;
+use crate::grid::{PAPER_BENCHMARKS, PAPER_RATES};
+use crate::render::{csv_f64, write_results_file};
+use crate::sweep::{Cell, Sweep};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
@@ -25,9 +25,6 @@ use pronghorn_platform::{
     run_closed_loop, KernelKind, RestoreStrategy, RunConfig, RunResult, StoragePolicy,
 };
 use pronghorn_store::StorageStats;
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Chain depth shared by every arm: the PR 4 delta baseline.
 const DELTA_DEPTH: u32 = 16;
@@ -91,40 +88,17 @@ impl StorageArm {
     }
 }
 
-/// One benchmark × rate × arm measurement.
-#[derive(Debug, Clone)]
-pub struct StorageCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Eviction rate.
-    pub rate: u32,
-    /// Storage arm the cell ran under.
-    pub arm: StorageArm,
-    /// Full run measurements.
-    pub result: RunResult,
-}
-
-/// A completed storage ablation.
-#[derive(Debug, Clone, Default)]
-pub struct StorageAblation {
-    /// All cells, in completion order (lookups are keyed, so order does
-    /// not affect any rendered output).
-    pub cells: Vec<StorageCell>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
+/// A completed storage ablation: the sweep's points are eviction rates,
+/// its arms storage configurations.
+pub type StorageAblation = Sweep<StorageArm, RunResult>;
 
 /// Runs the full ablation: 13 benchmarks × paper rates × all arms.
 pub fn run(ctx: &ExperimentContext) -> StorageAblation {
-    run_for(ctx, &benchmarks(), &PAPER_RATES)
+    run_for(ctx, &PAPER_BENCHMARKS, &PAPER_RATES)
 }
 
 /// Runs the ablation over an explicit benchmark and rate set.
-///
-/// # Panics
-///
-/// Panics if a benchmark name is unknown — experiment tables are static
-/// and must fail loudly.
+/// Panics on an unknown benchmark name (see [`Sweep::run`]).
 pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], rates: &[u32]) -> StorageAblation {
     run_for_with_kernel(ctx, benchmarks, rates, KernelKind::default())
 }
@@ -138,54 +112,25 @@ pub fn run_for_with_kernel(
     rates: &[u32],
     kernel: KernelKind,
 ) -> StorageAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, u32, StorageArm)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for arm in StorageArm::ALL {
-                tasks.push((bench.to_string(), rate, arm));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, rate, arm)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across arms of the same (bench, rate): the
-                // paired-comparison trick of the policy grid.
-                let seed = ctx.cell_seed(&["storage", bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(PolicyKind::RequestCentric, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_delta(DeltaPolicy::Enabled {
-                        max_depth: DELTA_DEPTH,
-                    })
-                    .with_restore(arm.restore())
-                    .with_storage(arm.policy())
-                    .with_kernel(kernel);
-                let result = run_closed_loop(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(StorageCell {
-                    workload: bench.clone(),
-                    rate: *rate,
-                    arm: *arm,
-                    result,
-                });
-            });
-        }
-    });
-    StorageAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Sweep::run(
+        ctx,
+        benchmarks,
+        rates,
+        &StorageArm::ALL,
+        |workload, bench, rate, arm| {
+            // Seed shared across arms of the same (bench, rate).
+            let seed = ctx.cell_seed(&["storage", bench, &rate.to_string()]);
+            let cfg = RunConfig::paper(PolicyKind::RequestCentric, rate, seed)
+                .with_invocations(ctx.invocations)
+                .with_delta(DeltaPolicy::Enabled {
+                    max_depth: DELTA_DEPTH,
+                })
+                .with_restore(arm.restore())
+                .with_storage(arm.policy())
+                .with_kernel(kernel);
+            run_closed_loop(workload, &cfg)
+        },
+    )
 }
 
 /// Pooled per-arm storage accounting.
@@ -202,45 +147,11 @@ pub struct StorageArmAggregate {
 }
 
 impl StorageAblation {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, rate: u32, arm: StorageArm) -> Option<&StorageCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.rate == rate && c.arm == arm)
-    }
-
-    /// Distinct workloads present, in first-seen deterministic order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        // Any non-paper benchmarks (tests) follow, in cell order.
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
-    }
-
-    /// Distinct rates present, ascending.
-    pub fn rates(&self) -> Vec<u32> {
-        let mut rates: Vec<u32> = self.cells.iter().map(|c| c.rate).collect();
-        rates.sort_unstable();
-        rates.dedup();
-        rates
-    }
-
     /// Total restore bytes a benchmark transferred under `arm`, pooled
     /// across every rate present.
     pub fn restore_bytes(&self, workload: &str, arm: StorageArm) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.workload == workload && c.arm == arm)
+        self.arm_cells(arm)
+            .filter(|c| c.workload == workload)
             .map(|c| c.result.restore_bytes())
             .sum()
     }
@@ -248,17 +159,7 @@ impl StorageAblation {
     /// Mean of the per-rate median restore critical-path times for one
     /// benchmark under `arm`; NaN when the arm restored nothing.
     pub fn mean_median_restore_us(&self, workload: &str, arm: StorageArm) -> f64 {
-        let medians: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.workload == workload && c.arm == arm)
-            .map(|c| c.result.median_restore_us())
-            .filter(|m| m.is_finite())
-            .collect();
-        if medians.is_empty() {
-            return f64::NAN;
-        }
-        medians.iter().sum::<f64>() / medians.len() as f64
+        mean_median_restore_us(self.arm_cells(arm).filter(|c| c.workload == workload))
     }
 
     /// Whether `arm` beats the flat baseline on BOTH the median restore
@@ -273,12 +174,12 @@ impl StorageAblation {
 
     /// Benchmarks where `arm` wins on both axes, as `(wins, total)`.
     pub fn restore_wins(&self, arm: StorageArm) -> (usize, usize) {
-        let workloads = self.workloads();
-        let wins = workloads
+        let wins = self
+            .benchmarks
             .iter()
             .filter(|w| self.restore_win(w, arm))
             .count();
-        (wins, workloads.len())
+        (wins, self.benchmarks.len())
     }
 
     /// Cells where an eager storage arm's latency stream differs from the
@@ -286,11 +187,9 @@ impl StorageAblation {
     /// accounting, so this must be zero — anything else means the tier
     /// leaked onto the critical path.
     pub fn latency_divergences(&self, arm: StorageArm) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.arm == arm)
+        self.arm_cells(arm)
             .filter(|c| {
-                self.cell(&c.workload, c.rate, StorageArm::Flat)
+                self.cell(&c.workload, c.point, StorageArm::Flat)
                     .is_some_and(|flat| c.result.latencies_us != flat.result.latencies_us)
             })
             .count()
@@ -301,24 +200,15 @@ impl StorageAblation {
         StorageArm::ALL
             .iter()
             .map(|&arm| {
-                let cells: Vec<&StorageCell> = self.cells.iter().filter(|c| c.arm == arm).collect();
+                let cells: Vec<_> = self.arm_cells(arm).collect();
                 let mut storage = StorageStats::default();
                 for c in &cells {
                     storage.merge(&c.result.storage);
                 }
-                let medians: Vec<f64> = cells
-                    .iter()
-                    .map(|c| c.result.median_restore_us())
-                    .filter(|m| m.is_finite())
-                    .collect();
                 StorageArmAggregate {
                     arm,
                     restore_bytes: cells.iter().map(|c| c.result.restore_bytes()).sum(),
-                    mean_median_restore_us: if medians.is_empty() {
-                        f64::NAN
-                    } else {
-                        medians.iter().sum::<f64>() / medians.len() as f64
-                    },
+                    mean_median_restore_us: mean_median_restore_us(cells.iter().copied()),
                     storage,
                 }
             })
@@ -381,38 +271,31 @@ impl StorageAblation {
             "composed_bytes_saved",
             "median_latency_us",
         ]);
-        for w in self.workloads() {
-            for rate in self.rates() {
-                for arm in StorageArm::ALL {
-                    let Some(cell) = self.cell(&w, rate, arm) else {
-                        continue;
-                    };
-                    let s = &cell.result.storage;
-                    table.row(vec![
-                        w.clone(),
-                        rate.to_string(),
-                        arm.label().to_string(),
-                        csv_f64(cell.result.median_restore_us()),
-                        cell.result.restore_bytes().to_string(),
-                        s.cache_hits.to_string(),
-                        s.cache_misses.to_string(),
-                        s.cache_hit_bytes.to_string(),
-                        s.cache_evictions.to_string(),
-                        s.wire_bytes_downloaded.to_string(),
-                        s.wire_bytes_uploaded.to_string(),
-                        s.composed_prefetches.to_string(),
-                        s.composed_bytes_saved.to_string(),
-                        csv_f64(cell.result.median_us()),
-                    ]);
-                }
-            }
+        for cell in &self.cells {
+            let s = &cell.result.storage;
+            table.row(vec![
+                cell.workload.clone(),
+                cell.point.to_string(),
+                cell.arm.label().to_string(),
+                csv_f64(cell.result.median_restore_us()),
+                cell.result.restore_bytes().to_string(),
+                s.cache_hits.to_string(),
+                s.cache_misses.to_string(),
+                s.cache_hit_bytes.to_string(),
+                s.cache_evictions.to_string(),
+                s.wire_bytes_downloaded.to_string(),
+                s.wire_bytes_uploaded.to_string(),
+                s.composed_prefetches.to_string(),
+                s.composed_bytes_saved.to_string(),
+                csv_f64(cell.result.median_us()),
+            ]);
         }
         table.to_csv()
     }
 
     /// Writes `results/storage_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("storage_ablation.csv", &self.to_csv())
+        write_results_file("storage_ablation.csv", &self.to_csv())
     }
 
     /// Writes `results/BENCH_storage.json`: per-arm pooled storage
@@ -449,13 +332,17 @@ impl StorageAblation {
     }
 }
 
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
+/// Mean of the cells' finite median restore times, µs; NaN when none of
+/// them restored.
+fn mean_median_restore_us<'a>(cells: impl Iterator<Item = &'a Cell<StorageArm, RunResult>>) -> f64 {
+    let medians: Vec<f64> = cells
+        .map(|c| c.result.median_restore_us())
+        .filter(|m| m.is_finite())
+        .collect();
+    if medians.is_empty() {
+        return f64::NAN;
     }
+    medians.iter().sum::<f64>() / medians.len() as f64
 }
 
 #[cfg(test)]
@@ -473,13 +360,10 @@ mod tests {
     #[test]
     fn ablation_runs_every_arm_per_cell() {
         let ablation = quick_ablation();
-        assert_eq!(ablation.cells.len(), 3 * 2 * 4);
-        assert_eq!(ablation.workloads(), vec!["DFS", "Compression", "Hash"]);
-        assert_eq!(ablation.rates(), vec![1, 4]);
         // The flat arm never constructs a tier: its counters stay zero.
-        for w in ablation.workloads() {
-            for rate in ablation.rates() {
-                let flat = &ablation.cell(&w, rate, StorageArm::Flat).unwrap().result;
+        for w in &ablation.benchmarks {
+            for &rate in &ablation.points {
+                let flat = &ablation.cell(w, rate, StorageArm::Flat).unwrap().result;
                 assert_eq!(flat.storage, StorageStats::default(), "{w} rate {rate}");
             }
         }
@@ -510,11 +394,11 @@ mod tests {
         }
         // Nominal byte accounting is storage-invariant on the eager arms:
         // compression changes wire bytes and transfer time only.
-        for w in ablation.workloads() {
-            for rate in ablation.rates() {
-                let flat = &ablation.cell(&w, rate, StorageArm::Flat).unwrap().result;
+        for w in &ablation.benchmarks {
+            for &rate in &ablation.points {
+                let flat = &ablation.cell(w, rate, StorageArm::Flat).unwrap().result;
                 for arm in [StorageArm::Cache, StorageArm::CacheCompress] {
-                    let cell = &ablation.cell(&w, rate, arm).unwrap().result;
+                    let cell = &ablation.cell(w, rate, arm).unwrap().result;
                     assert_eq!(
                         cell.overheads.nominal_bytes_downloaded,
                         flat.overheads.nominal_bytes_downloaded,
@@ -530,28 +414,17 @@ mod tests {
     #[test]
     fn composed_arm_cuts_restore_time_and_bytes() {
         let ablation = quick_ablation();
-        for w in ablation.workloads() {
+        for w in &ablation.benchmarks {
             assert!(
-                ablation.restore_win(&w, StorageArm::Composed),
+                ablation.restore_win(w, StorageArm::Composed),
                 "{w}: composed arm should beat flat on both axes \
                  (restore {:.0}us vs {:.0}us, bytes {} vs {})",
-                ablation.mean_median_restore_us(&w, StorageArm::Composed),
-                ablation.mean_median_restore_us(&w, StorageArm::Flat),
-                ablation.restore_bytes(&w, StorageArm::Composed),
-                ablation.restore_bytes(&w, StorageArm::Flat),
+                ablation.mean_median_restore_us(w, StorageArm::Composed),
+                ablation.mean_median_restore_us(w, StorageArm::Flat),
+                ablation.restore_bytes(w, StorageArm::Composed),
+                ablation.restore_bytes(w, StorageArm::Flat),
             );
         }
-    }
-
-    #[test]
-    fn csv_is_deterministic_and_shaped() {
-        let ablation = quick_ablation();
-        let csv = ablation.to_csv();
-        assert_eq!(csv.lines().count(), 1 + 3 * 2 * 4);
-        assert!(csv.starts_with("workload,rate,arm,"));
-        // Same-seed rerun produces byte-identical CSV.
-        let again = quick_ablation();
-        assert_eq!(csv, again.to_csv());
     }
 
     #[test]

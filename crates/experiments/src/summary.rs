@@ -7,7 +7,7 @@
 //! 28 better / 9 on-par / 2 worse across the 39 cells.
 
 use crate::grid::{Grid, PAPER_RATES};
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::restore_ablation::{aggregate, StrategyAggregate};
 use pronghorn_metrics::{classify, geo_mean_of_improvements, Table, TableStyle, Verdict};
 use pronghorn_platform::{RestoreInfo, RestoreStrategy};
@@ -50,14 +50,15 @@ pub fn summarize(grids: &[&Grid]) -> SummaryResult {
             let mut on_par = Vec::new();
             let mut worse = Vec::new();
             for grid in grids {
-                for workload in grid.workloads() {
-                    let Some(imp) = grid.improvement_pct(&workload, rate) else {
+                for workload in &grid.benchmarks {
+                    let Some(imp) = grid.improvement_pct(workload, rate) else {
                         continue;
                     };
+                    let row = (workload.clone(), imp);
                     match classify(imp) {
-                        Verdict::Better => better.push((workload, imp)),
-                        Verdict::OnPar => on_par.push((workload, imp)),
-                        Verdict::Worse => worse.push((workload, imp)),
+                        Verdict::Better => better.push(row),
+                        Verdict::OnPar => on_par.push(row),
+                        Verdict::Worse => worse.push(row),
                     }
                 }
             }
@@ -179,7 +180,7 @@ impl SummaryResult {
 
     /// Writes `results/summary.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("summary.csv", &self.to_csv())
+        write_results_file("summary.csv", &self.to_csv())
     }
 }
 

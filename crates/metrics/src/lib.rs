@@ -41,4 +41,4 @@ pub use stats::{
 };
 pub use summary::Summary;
 pub use table::{Table, TableStyle};
-pub use timeseries::{bucket_medians, moving_median, reduction_trajectory};
+pub use timeseries::bucket_medians;
