@@ -99,13 +99,16 @@ impl<A: Copy + PartialEq + Send + Sync, R: Send> Sweep<A, R> {
 }
 
 impl<A: Copy + PartialEq, R> Sweep<A, R> {
-    /// Finds a cell by its position in the lists the sweep ran over.
+    /// Finds a cell by its position in the lists the sweep ran over. The
+    /// fields are public, so a hand-built sweep whose cells do not follow
+    /// its lists yields `None` rather than the wrong cell.
     pub fn cell(&self, workload: &str, point: u32, arm: A) -> Option<&Cell<A, R>> {
         let b = self.benchmarks.iter().position(|w| w == workload)?;
         let p = self.points.iter().position(|&x| x == point)?;
         let a = self.arms.iter().position(|&x| x == arm)?;
         self.cells
             .get((b * self.points.len() + p) * self.arms.len() + a)
+            .filter(|c| c.workload == workload && c.point == point && c.arm == arm)
     }
 
     /// Every cell of one arm, in task order.
