@@ -10,7 +10,7 @@ use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::{PolicyConfig, PolicyKind, SelectionStrategy};
 use pronghorn_platform::{run_closed_loop, run_fleet, run_partitioned, FleetConfig, RunConfig};
-use pronghorn_workloads::{by_name, InputVariance};
+use pronghorn_workloads::{by_name, InputVariance, SpecWorkload, Workload};
 
 /// One ablation row.
 #[derive(Debug, Clone)]
@@ -34,15 +34,14 @@ pub struct AblationResult {
 
 fn closed(
     ctx: &ExperimentContext,
-    bench: &str,
+    workload: &SpecWorkload,
     config: Option<PolicyConfig>,
     beta_estimate: Option<u32>,
 ) -> (f64, usize) {
-    let workload = by_name(bench).expect("ablation benchmark exists");
     let mut cfg = RunConfig::paper(
         PolicyKind::RequestCentric,
         1,
-        ctx.cell_seed(&["ablation", bench]),
+        ctx.cell_seed(&["ablation", workload.name()]),
     )
     .with_invocations(ctx.invocations.max(300));
     if let Some(pc) = config {
@@ -51,13 +50,16 @@ fn closed(
     if let Some(beta) = beta_estimate {
         cfg = cfg.with_beta_estimate(beta);
     }
-    let r = run_closed_loop(&workload, &cfg);
+    let r = run_closed_loop(workload, &cfg);
     (r.median_us(), r.checkpoint_ms.len())
 }
 
 /// Runs the ablation study on one compute-bound benchmark (DFS).
 pub fn run(ctx: &ExperimentContext) -> AblationResult {
     const BENCH: &str = "DFS";
+    // One workload for every row, so rows replaying a seed share its
+    // request tape.
+    let workload = by_name(BENCH).expect("bench exists");
     let base = PolicyConfig::paper_pypy();
     let mut rows = Vec::new();
     let mut push = |group: &'static str, label: String, (median_us, checkpoints): (f64, usize)| {
@@ -78,7 +80,7 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
         push(
             "selection",
             label.to_string(),
-            closed(ctx, BENCH, Some(base.with_selection(strategy)), None),
+            closed(ctx, &workload, Some(base.with_selection(strategy)), None),
         );
     }
 
@@ -87,7 +89,12 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
         push(
             "gamma",
             format!("gamma = {gamma:.2}"),
-            closed(ctx, BENCH, Some(base.with_eviction_fracs(0.4, gamma)), None),
+            closed(
+                ctx,
+                &workload,
+                Some(base.with_eviction_fracs(0.4, gamma)),
+                None,
+            ),
         );
     }
 
@@ -96,7 +103,7 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
         push(
             "capacity",
             format!("C = {c}"),
-            closed(ctx, BENCH, Some(base.with_capacity(c)), None),
+            closed(ctx, &workload, Some(base.with_capacity(c)), None),
         );
     }
 
@@ -105,7 +112,7 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
         push(
             "search-bound",
             format!("W = {w}"),
-            closed(ctx, BENCH, Some(base.with_w(w)), None),
+            closed(ctx, &workload, Some(base.with_w(w)), None),
         );
     }
 
@@ -113,16 +120,15 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
     push(
         "beta",
         "accurate".to_string(),
-        closed(ctx, BENCH, None, None),
+        closed(ctx, &workload, None, None),
     );
     push(
         "beta",
         "overestimated 20x".to_string(),
-        closed(ctx, BENCH, None, Some(20)),
+        closed(ctx, &workload, None, Some(20)),
     );
 
     // Fleet amortization (§5.3).
-    let workload = by_name(BENCH).expect("bench exists");
     for (label, explorers) in [
         ("4 workers, 1 explorer", 1usize),
         ("4 workers, 0 explorers", 0),

@@ -58,9 +58,8 @@ pub fn warmup_curve(workload: &dyn Workload, requests: usize, seed: u64) -> Warm
     let mut exec_rng = factory.stream("exec");
     let mut latencies = Vec::with_capacity(requests);
     for i in 0..requests {
-        let mut input_rng = factory.stream_indexed("input", i as u64);
         // Figure 1 plots the intrinsic warm-up: no input-size noise.
-        let request = workload.generate(&mut input_rng, InputVariance::none());
+        let request = workload.request(seed, i as u64, InputVariance::none());
         latencies.push(runtime.execute(&request, &mut exec_rng).total_us());
     }
     // "Existing solutions" snapshot right after request 1: the latency a

@@ -12,7 +12,7 @@
 //! so every CSV rendered by walking [`Sweep::cells`] is deterministic.
 
 use crate::ExperimentContext;
-use pronghorn_workloads::{by_name, SpecWorkload};
+use pronghorn_workloads::{all_benchmarks, SpecWorkload, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One benchmark × point × arm measurement.
@@ -62,22 +62,32 @@ impl<A: Copy + PartialEq + Send + Sync, R: Send> Sweep<A, R> {
     where
         F: Fn(&SpecWorkload, &str, u32, A) -> R + Sync,
     {
-        for name in benchmarks {
-            assert!(by_name(name).is_some(), "unknown benchmark {name}");
-        }
+        // One workload per benchmark, shared by all of its tasks so that
+        // arms replaying a seed share its request tape.
+        let registry = all_benchmarks();
+        let workloads: Vec<&SpecWorkload> = benchmarks
+            .iter()
+            .map(|name| {
+                registry
+                    .iter()
+                    .find(|w| w.name() == *name)
+                    .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+            })
+            .collect();
         let mut tasks = Vec::with_capacity(benchmarks.len() * points.len() * arms.len());
-        for &bench in benchmarks {
+        for &workload in &workloads {
             for &point in points {
                 for &arm in arms {
-                    tasks.push((bench, point, arm));
+                    tasks.push((workload, point, arm));
                 }
             }
         }
         let started = std::time::Instant::now();
-        let results = par_map(ctx.effective_threads(), &tasks, |&(bench, point, arm)| {
-            let workload = by_name(bench).expect("validated above");
-            run(&workload, bench, point, arm)
-        });
+        let results = par_map(
+            ctx.effective_threads(),
+            &tasks,
+            |&(workload, point, arm)| run(workload, workload.name(), point, arm),
+        );
         let wall_clock_s = started.elapsed().as_secs_f64();
         Sweep {
             benchmarks: benchmarks.iter().map(|b| b.to_string()).collect(),
@@ -86,8 +96,8 @@ impl<A: Copy + PartialEq + Send + Sync, R: Send> Sweep<A, R> {
             cells: tasks
                 .into_iter()
                 .zip(results)
-                .map(|((bench, point, arm), result)| Cell {
-                    workload: bench.to_string(),
+                .map(|((workload, point, arm), result)| Cell {
+                    workload: workload.name().to_string(),
                     point,
                     arm,
                     result,

@@ -46,8 +46,7 @@ pub fn speedup_column(workload: &dyn Workload, seed: u64) -> SpeedupColumn {
     let mut exec_rng = factory.stream("exec");
     let mut latencies = Vec::with_capacity(1_000);
     for i in 0..1_000u64 {
-        let mut input_rng = factory.stream_indexed("input", i);
-        let request = workload.generate(&mut input_rng, InputVariance::none());
+        let request = workload.request(seed, i, InputVariance::none());
         latencies.push(runtime.execute(&request, &mut exec_rng).total_us());
     }
     let first = latencies[0];

@@ -54,8 +54,7 @@ pub fn measure_engine_costs(workload: &dyn Workload, seed: u64) -> ((f64, f64), 
     );
     let mut exec_rng = factory.stream("exec");
     for i in 0..5u64 {
-        let mut input_rng = factory.stream_indexed("input", i);
-        let request = workload.generate(&mut input_rng, InputVariance::none());
+        let request = workload.request(seed, i, InputVariance::none());
         runtime.execute(&request, &mut exec_rng);
     }
     let mut engine_rng = factory.stream("engine");

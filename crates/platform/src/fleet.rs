@@ -193,8 +193,7 @@ pub fn run_fleet(workload: &dyn Workload, cfg: &RunConfig, fleet: &FleetConfig) 
         }
 
         let worker = slots[slot].as_mut().expect("just provisioned");
-        let mut input_rng = factory.stream_indexed("input", index);
-        let request = workload.generate(&mut input_rng, cfg.variance);
+        let request = workload.request(cfg.seed, index, cfg.variance);
         let request_number = worker.next_request_number();
         let breakdown = worker.runtime.execute(&request, &mut worker.rng);
         let mut latency = breakdown.total_us();

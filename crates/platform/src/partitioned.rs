@@ -126,8 +126,7 @@ pub fn run_partitioned(workload: &dyn Workload, cfg: &RunConfig, classes: usize)
         kernel.schedule(SimTime::ZERO + cfg.request_gap, 0);
     }
     while let Some((now, i)) = kernel.pop() {
-        let mut input_rng = factory.stream_indexed("input", i);
-        let mut request = workload.generate(&mut input_rng, cfg.variance);
+        let mut request = workload.request(cfg.seed, i, cfg.variance);
         let class = classify_factor(request.size_factor, classes);
         let deployment = &mut deployments[class];
 

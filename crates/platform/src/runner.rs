@@ -21,7 +21,7 @@ use pronghorn_restore::{
 use pronghorn_sim::{Kernel, RngFactory, SimDuration, SimTime};
 use pronghorn_store::{saturating_accumulate, ObjectStore, StorageStats, TransferModel};
 use pronghorn_traces::Trace;
-use pronghorn_workloads::Workload;
+use pronghorn_workloads::{input_stream, Workload};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -625,8 +625,19 @@ impl<'w> Session<'w> {
                 p.note_resolved();
             }
         }
-        let mut input_rng = self.factory.stream_indexed("input", arrival_index);
-        let request = self.workload.generate(&mut input_rng, self.cfg.variance);
+        // Paper-mode runs replay the workload's request tape, shared with
+        // every other run of this seed. Streaming runs bypass it: their
+        // seeds are never replayed, and a tape would grow with every
+        // arrival.
+        let request = if self.stream.is_some() {
+            self.workload.generate(
+                &mut input_stream(self.cfg.seed, arrival_index),
+                self.cfg.variance,
+            )
+        } else {
+            self.workload
+                .request(self.cfg.seed, arrival_index, self.cfg.variance)
+        };
         let request_number = worker.next_request_number();
         let breakdown = worker.runtime.execute(&request, &mut worker.rng);
         let mut latency = breakdown.total_us();

@@ -35,9 +35,10 @@ pub mod benches;
 pub mod input;
 pub mod kernels;
 pub mod spec;
+mod tape;
 
 pub use input::InputVariance;
-pub use spec::{MethodSpec, SpecWorkload, Workload, WorkloadSpec};
+pub use spec::{input_stream, MethodSpec, SpecWorkload, Workload, WorkloadSpec};
 
 /// All nine Python (PyPy) benchmarks, Figure 4 row order.
 pub fn python_benchmarks() -> Vec<SpecWorkload> {
@@ -66,11 +67,16 @@ pub fn table1_benchmarks() -> Vec<SpecWorkload> {
     benches::java::table1()
 }
 
-/// Looks up any benchmark by its paper name (case-sensitive).
-pub fn by_name(name: &str) -> Option<SpecWorkload> {
+/// Every benchmark: the Python ones, then the Java ones.
+pub fn all_benchmarks() -> Vec<SpecWorkload> {
     let mut all = python_benchmarks();
     all.extend(java_benchmarks());
-    all.into_iter().find(|b| b.name() == name)
+    all
+}
+
+/// Looks up any benchmark by its paper name (case-sensitive).
+pub fn by_name(name: &str) -> Option<SpecWorkload> {
+    all_benchmarks().into_iter().find(|b| b.name() == name)
 }
 
 #[cfg(test)]
@@ -110,9 +116,8 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<String> = python_benchmarks()
+        let mut names: Vec<String> = all_benchmarks()
             .iter()
-            .chain(java_benchmarks().iter())
             .map(|b| b.name().to_string())
             .collect();
         let before = names.len();

@@ -9,10 +9,19 @@
 //! targets hold exactly regardless of kernel internals.
 
 use crate::input::InputVariance;
+use crate::tape::{Draw, Tapes};
 use pronghorn_checkpoint::cost::gaussian;
 use pronghorn_jit::{MethodProfile, MethodWork, RequestWork, RuntimeKind, RuntimeProfile};
+use pronghorn_sim::RngFactory;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
+
+/// The seeded stream request `index` of a run with master seed `seed`
+/// draws its input from. Every policy and arm replaying that seed reads
+/// the same stream — the paper's paired comparison (§5.1).
+pub fn input_stream(seed: u64, index: u64) -> SmallRng {
+    RngFactory::new(seed).stream_indexed("input", index)
+}
 
 /// A serverless benchmark: everything the platform needs to run it.
 pub trait Workload: Send + Sync {
@@ -31,6 +40,20 @@ pub trait Workload: Send + Sync {
 
     /// Draws one randomized request.
     fn generate(&self, rng: &mut dyn RngCore, variance: InputVariance) -> RequestWork;
+
+    /// Request `index` of the paired-seed input sequence of a run with
+    /// master seed `seed`: what [`Workload::generate`] draws from
+    /// [`input_stream`]`(seed, index)`, and only a function of
+    /// `(seed, index, variance)`.
+    ///
+    /// The default calls `generate`, so a wrapper that only overrides
+    /// `generate` (like perfbench's timing wrapper `Timed`) still sees
+    /// every draw; it also bypasses any cache the wrapped workload keeps
+    /// behind its own `request`. [`SpecWorkload`] overrides this to replay
+    /// a shared request tape, bit-identical to the default.
+    fn request(&self, seed: u64, index: u64, variance: InputVariance) -> RequestWork {
+        self.generate(&mut input_stream(seed, index), variance)
+    }
 
     /// Whether the benchmark is IO-bound (§5.2's compute/IO split).
     fn io_bound(&self) -> bool;
@@ -85,10 +108,12 @@ pub struct WorkloadSpec {
     pub kernel: KernelFn,
 }
 
-/// A benchmark built from a spec, with derived calibration.
+/// A benchmark built from a spec, with derived calibration and a request
+/// tape shared by every run that replays one of its paired seeds.
 pub struct SpecWorkload {
     spec: WorkloadSpec,
     us_per_unit: f64,
+    tapes: Tapes,
 }
 
 impl SpecWorkload {
@@ -121,7 +146,11 @@ impl SpecWorkload {
         );
         // interpreted compute = raw_units * share_sum * us_per_unit, so:
         let us_per_unit = spec.interp_exec_us / (base_units * share_sum);
-        SpecWorkload { us_per_unit, spec }
+        SpecWorkload {
+            us_per_unit,
+            spec,
+            tapes: Tapes::default(),
+        }
     }
 
     /// The spec this workload was built from.
@@ -132,6 +161,56 @@ impl SpecWorkload {
     /// Derived interpreted cost per work unit, µs.
     pub fn us_per_unit(&self) -> f64 {
         self.us_per_unit
+    }
+
+    /// Request tapes alive right now. Each is held by a thread whose latest
+    /// request on this workload used it; a tape no thread holds is freed.
+    pub fn live_tapes(&self) -> usize {
+        self.tapes.live()
+    }
+
+    /// The random part of one request, in the stream's draw order: size
+    /// factor, kernel work, IO jitter.
+    fn draw(&self, rng: &mut dyn RngCore, variance: InputVariance) -> Draw {
+        let factor = variance.sample_factor(rng);
+        let raw_units = (self.spec.kernel)(rng, factor).max(0.0);
+        let io_us = if self.spec.io_base_us > 0.0 {
+            let jitter = 1.0 + gaussian(&mut *rng) * self.spec.io_rel_jitter;
+            (self.spec.io_base_us * factor * jitter.max(0.2)).max(0.0)
+        } else {
+            0.0
+        };
+        Draw {
+            factor,
+            raw_units,
+            io_us,
+        }
+    }
+
+    /// Builds the request a [`Draw`] describes; pure, so a taped draw
+    /// rebuilds exactly the request `generate` returns.
+    fn assemble(&self, draw: Draw) -> RequestWork {
+        let Draw {
+            factor,
+            raw_units,
+            io_us,
+        } = draw;
+        let entries: Vec<MethodWork> = self
+            .spec
+            .methods
+            .iter()
+            .enumerate()
+            .map(|(i, m)| MethodWork {
+                method: i,
+                units: raw_units * m.share,
+                calls: (m.base_calls * factor).max(0.0),
+            })
+            .collect();
+        RequestWork::new(entries)
+            .us_per_unit(self.us_per_unit)
+            .io_us(io_us)
+            .size_factor(factor)
+            .novelty(InputVariance::novelty_of(factor))
     }
 }
 
@@ -169,30 +248,14 @@ impl Workload for SpecWorkload {
     }
 
     fn generate(&self, rng: &mut dyn RngCore, variance: InputVariance) -> RequestWork {
-        let factor = variance.sample_factor(rng);
-        let raw_units = (self.spec.kernel)(rng, factor).max(0.0);
-        let entries: Vec<MethodWork> = self
-            .spec
-            .methods
-            .iter()
-            .enumerate()
-            .map(|(i, m)| MethodWork {
-                method: i,
-                units: raw_units * m.share,
-                calls: (m.base_calls * factor).max(0.0),
-            })
-            .collect();
-        let io_us = if self.spec.io_base_us > 0.0 {
-            let jitter = 1.0 + gaussian(&mut *rng) * self.spec.io_rel_jitter;
-            (self.spec.io_base_us * factor * jitter.max(0.2)).max(0.0)
-        } else {
-            0.0
-        };
-        RequestWork::new(entries)
-            .us_per_unit(self.us_per_unit)
-            .io_us(io_us)
-            .size_factor(factor)
-            .novelty(InputVariance::novelty_of(factor))
+        self.assemble(self.draw(rng, variance))
+    }
+
+    fn request(&self, seed: u64, index: u64, variance: InputVariance) -> RequestWork {
+        let draw = self.tapes.get(seed, index, variance, &|i| {
+            self.draw(&mut input_stream(seed, i), variance)
+        });
+        self.assemble(draw)
     }
 
     fn io_bound(&self) -> bool {

@@ -116,7 +116,8 @@ fn checkpointing_is_bounded_by_w_and_the_provider_stop() {
 #[test]
 fn snapshot_size_grows_with_optimization_state() {
     let workload = by_name("Hash").expect("bundled benchmark");
-    let factory = RngFactory::new(8);
+    let seed = 8;
+    let factory = RngFactory::new(seed);
     let mut rng = factory.stream("x");
     let (mut runtime, _) = Runtime::cold_start(
         workload.runtime_profile(),
@@ -126,8 +127,7 @@ fn snapshot_size_grows_with_optimization_state() {
     let cold_size = runtime.image_size_bytes();
     let mut exec = factory.stream("exec");
     for i in 0..3_000u64 {
-        let mut input = factory.stream_indexed("input", i);
-        let request = workload.generate(&mut input, InputVariance::none());
+        let request = workload.request(seed, i, InputVariance::none());
         runtime.execute(&request, &mut exec);
     }
     let warm_size = runtime.image_size_bytes();
